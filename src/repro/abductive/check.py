@@ -128,7 +128,6 @@ def _check_l2(
     dataset: Dataset, k: int, x: np.ndarray, X: frozenset[int], engine: QueryEngine
 ) -> CheckResult:
     from ..geometry.polyhedron import Polyhedron
-    from ..geometry.halfspace import Halfspace
 
     label = engine.classify(x, k)
     subspace = AffineSubspace(x, X)
@@ -141,9 +140,8 @@ def _check_l2(
         # can dispute them.  Fall back to the boundary point when the
         # piece has an empty interior within the subspace.
         if not piece.has_strict:
-            interior = Polyhedron(
-                piece.dimension,
-                [Halfspace(w, b, strict=True) for w, b in zip(piece.A, piece.b)],
+            interior = Polyhedron.from_arrays(
+                piece.dimension, A_strict=piece.A, b_strict=piece.b
             ).find_point(*eq)
             if interior is not None:
                 return CheckResult(False, counterexample=interior)

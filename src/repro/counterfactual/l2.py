@@ -1,9 +1,18 @@
 """Closest counterfactuals under the l2 metric (Theorem 2 / Corollary 2).
 
 The target region ``{y : f(y) = 1 - f(x)}`` is a union of polynomially
-many Proposition-1 polyhedra.  For each piece we project ``x`` onto it
-with the active-set QP; the closest counterfactual is the best
-projection over all pieces.
+many Proposition-1 polyhedra.  The closest counterfactual is the best
+projection of ``x`` onto one of them (active-set QP per piece), but most
+pieces cannot hold it: a single row ``w . y <= b`` already keeps every
+point of its piece at distance ``(w . x - b) / ||w||`` from ``x``.  The
+sweep is therefore a branch and bound over the pieces (Fukunaga &
+Narendra, 1975).  Pieces are projected in ascending order of that lower
+bound, and a projected candidate is examined as soon as its squared
+distance is strictly below the next unprojected bound — no piece left
+can then beat it, nor tie it from an earlier enumeration index.  The
+result is exactly the candidate an exhaustive sweep would pick (first in
+``(distance, enumeration index)`` order that verifies), usually after
+one to three QPs instead of one per piece.
 
 Open pieces (flipping into class 0, whose region is open because ties
 favor class 1) need the two-step treatment from the paper: the piece is
@@ -18,20 +27,23 @@ mathematically, but a projection landing *exactly on* the boundary can
 fall on the wrong side in floating point.  Every candidate is therefore
 verified against the classifier and nudged toward a strict interior
 point when needed; candidates that cannot be certified are discarded in
-favor of the next-closest piece.
+favor of the next-closest piece.  The strict-interior LP runs only for
+candidates that reach this examination.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
 from .._budget import remaining_budget, start_deadline
 from ..exceptions import InfeasibleError
-from ..geometry import decision_region_polyhedra
+from ..geometry.regions import RegionPieces
 from ..knn import Dataset, QueryEngine
 from ..knn.engine import as_engine
 from ..solvers.lp import feasible_point_strict
-from ..solvers.qp import project_onto_polyhedron
+from ..solvers.qp import FEASIBILITY_TOL, project_onto_polyhedron
 from . import CounterfactualResult
 
 _NUDGE_STEPS = 60
@@ -45,55 +57,78 @@ def closest_counterfactual_l2(
     query_engine: QueryEngine | None = None,
     time_limit: float | None = None,
 ) -> CounterfactualResult:
-    """Closest l2 counterfactual via per-piece convex QP.
+    """Closest l2 counterfactual via bound-ordered per-piece convex QP.
 
     ``time_limit`` caps the piece sweep in wall-clock seconds
-    (checked between pieces, so it is best-effort).
+    (checked before every QP and LP, so it is best-effort).
     """
     knn = as_engine(dataset, "l2", query_engine)
     label = knn.classify(x, k)
     target = 1 - label
     deadline = start_deadline(time_limit)
-    candidates: list[tuple[float, np.ndarray, np.ndarray | None]] = []
-    for piece in decision_region_polyhedra(dataset, k, target):
+    pieces = RegionPieces(dataset, k, target)
+    xv = np.asarray(x, dtype=np.float64).ravel()
+    # The QP's result may violate each unit-normal row by up to
+    # FEASIBILITY_TOL (plus rounding on the scale of x), so the bound
+    # backs off by that much to stay below the sq it returns.
+    slack = FEASIBILITY_TOL * (1.0 + float(np.linalg.norm(xv)))
+    bounds = np.maximum(pieces.distance_lower_bounds(xv) - slack, 0.0) ** 2
+    order = np.argsort(bounds, kind="stable")
+    candidates: list[tuple[float, int, np.ndarray]] = []  # heap on (sq, index)
+    for index in [*order.tolist(), None]:
+        next_bound = np.inf if index is None else bounds[index]
+        while candidates and candidates[0][0] < next_bound:
+            sq, popped, y = heapq.heappop(candidates)
+            result = _examine(knn, k, target, pieces[popped], y, deadline)
+            if result is not None:
+                return CounterfactualResult(
+                    y=result,
+                    distance=float(np.linalg.norm(result - x)),
+                    infimum=float(np.sqrt(sq)),
+                    label_from=label,
+                    method="l2-qp",
+                )
+        if index is None:
+            break
         remaining_budget(deadline, "l2 counterfactual piece sweep")
-        closure = piece.closure()
-        # A strictly interior point doubles as the non-emptiness witness
-        # for open pieces and as the nudge anchor for all pieces.
-        interior = feasible_point_strict(
-            A_strict=closure.A, b_strict=closure.b, n=piece.dimension
-        )
-        if piece.has_strict and interior is None:
-            continue  # the open piece is empty even if its closure is not
+        closure = pieces[index].closure()
         try:
             y, sq = project_onto_polyhedron(x, closure.A, closure.b)
         except InfeasibleError:
             continue
-        candidates.append((float(sq), y, interior))
-    candidates.sort(key=lambda item: item[0])
-    for sq, y, interior in candidates:
-        infimum = float(np.sqrt(sq))
-        if knn.classify(y, k) == target:
-            return CounterfactualResult(
-                y=y,
-                distance=float(np.linalg.norm(y - x)),
-                infimum=infimum,
-                label_from=label,
-                method="l2-qp",
-            )
-        if interior is None:
-            continue  # boundary-only piece that float arithmetic rejects
-        nudged = _nudge_toward_interior(knn, k, target, y, interior)
-        if nudged is not None:
-            return CounterfactualResult(
-                y=nudged,
-                distance=float(np.linalg.norm(nudged - x)),
-                infimum=infimum,
-                label_from=label,
-                method="l2-qp",
-            )
+        heapq.heappush(candidates, (float(sq), index, y))
     return CounterfactualResult(
         y=None, distance=np.inf, infimum=np.inf, label_from=label, method="l2-qp"
+    )
+
+
+def _examine(knn, k, target, piece, y, deadline) -> np.ndarray | None:
+    """The counterfactual certified from projection *y* of *piece*, or None.
+
+    A strictly interior point doubles as the non-emptiness witness for
+    open pieces (checked before anything else: an empty open piece is no
+    candidate at all) and as the nudge anchor for every piece.
+    """
+    interior = None
+    if piece.has_strict:
+        interior = _strict_interior(piece, deadline)
+        if interior is None:
+            return None  # the open piece is empty even if its closure is not
+    if knn.classify(y, k) == target:
+        return y
+    if interior is None:
+        interior = _strict_interior(piece, deadline)
+        if interior is None:
+            return None  # boundary-only piece that float arithmetic rejects
+    return _nudge_toward_interior(knn, k, target, y, interior)
+
+
+def _strict_interior(piece, deadline) -> np.ndarray | None:
+    """A point satisfying every constraint of *piece*'s closure strictly."""
+    remaining_budget(deadline, "l2 counterfactual piece sweep")
+    closure = piece.closure()
+    return feasible_point_strict(
+        A_strict=closure.A, b_strict=closure.b, n=piece.dimension
     )
 
 

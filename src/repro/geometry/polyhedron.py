@@ -46,23 +46,30 @@ class Polyhedron:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def from_arrays(
+        cls, dimension: int, A=None, b=None, A_strict=None, b_strict=None
+    ) -> "Polyhedron":
+        """Build from row arrays without per-row :class:`Halfspace` objects.
+
+        The systems are copied into C-ordered float64 arrays, exactly the
+        arrays the halfspace constructor would assemble from the same
+        rows in the same order.
+        """
+        poly = cls.__new__(cls)
+        poly.dimension = int(dimension)
+        poly.A, poly.b = _system(A, b, poly.dimension)
+        poly.A_strict, poly.b_strict = _system(A_strict, b_strict, poly.dimension)
+        return poly
+
+    @classmethod
     def from_systems(cls, A=None, b=None, A_strict=None, b_strict=None, *, dimension=None):
         """Build from the systems ``A x <= b`` and ``A_strict x < b_strict``."""
-        halfspaces = []
-        if A is not None and len(A):
-            A = np.asarray(A, dtype=float)
-            dimension = A.shape[1]
-            halfspaces += [Halfspace(row, bb) for row, bb in zip(A, np.atleast_1d(b))]
-        if A_strict is not None and len(A_strict):
-            A_strict = np.asarray(A_strict, dtype=float)
-            dimension = A_strict.shape[1]
-            halfspaces += [
-                Halfspace(row, bb, strict=True)
-                for row, bb in zip(A_strict, np.atleast_1d(b_strict))
-            ]
+        for rows in (A, A_strict):
+            if rows is not None and len(rows):
+                dimension = np.shape(rows)[1]
         if dimension is None:
             raise ValueError("dimension required for an unconstrained polyhedron")
-        return cls(dimension, halfspaces)
+        return cls.from_arrays(dimension, A, b, A_strict, b_strict)
 
     # -- structure -------------------------------------------------------
 
@@ -78,9 +85,11 @@ class Polyhedron:
 
     def closure(self) -> "Polyhedron":
         """The closed polyhedron obtained by weakening strict constraints."""
-        halfspaces = [Halfspace(w, b) for w, b in zip(self.A, self.b)]
-        halfspaces += [Halfspace(w, b) for w, b in zip(self.A_strict, self.b_strict)]
-        return Polyhedron(self.dimension, halfspaces)
+        return Polyhedron.from_arrays(
+            self.dimension,
+            np.vstack([self.A, self.A_strict]),
+            np.concatenate([self.b, self.b_strict]),
+        )
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         """The polyhedron satisfying both constraint systems."""
@@ -134,3 +143,16 @@ class Polyhedron:
             f"Polyhedron(R^{self.dimension}, {self.A.shape[0]} weak + "
             f"{self.A_strict.shape[0]} strict constraints)"
         )
+
+
+def _system(A, b, dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, b)`` as owned C-ordered float64 arrays; empty when *A* has no rows."""
+    if A is None or len(A) == 0:
+        return np.empty((0, dimension)), np.empty(0)
+    A = np.array(A, dtype=np.float64, order="C", ndmin=2)
+    b = np.array(b, dtype=np.float64, ndmin=1).ravel()
+    if A.ndim != 2 or A.shape[1] != dimension:
+        raise ValueError(f"constraint rows of shape {A.shape} do not match R^{dimension}")
+    if b.shape[0] != A.shape[0]:
+        raise ValueError(f"{A.shape[0]} constraint rows but {b.shape[0]} right-hand sides")
+    return A, b

@@ -22,8 +22,97 @@ import numpy as np
 
 from .._validation import check_odd_k
 from ..knn.dataset import Dataset
-from .halfspace import bisector_halfspace
 from .polyhedron import Polyhedron
+
+
+class RegionPieces:
+    """The Proposition-1 pieces covering ``{x : f^k(x) = label}``, by index.
+
+    Piece ``i`` is the ``i``-th polyhedron of the enumeration order of
+    :func:`decision_region_polyhedra`: witness sets ``A`` of the winning
+    class in lexicographic order, and for each of them the excluded sets
+    ``B`` of the losing class by size, then lexicographically.  Every
+    piece selects rows from one table of bisector halfspaces, one per
+    (winning point ``a``, losing point ``c``) pair: the normal ``c - a``
+    is the subtraction :func:`~repro.geometry.halfspace.bisector_halfspace`
+    performs, and the offset ``1/2 (c - a)^T (c + a)`` is computed once
+    per pair by the same float64 dot product, so a piece is bit-identical
+    to its halfspace-by-halfspace construction.  Multiplicities are
+    expanded first.
+    """
+
+    def __init__(self, dataset: Dataset, k: int, label: int):
+        check_odd_k(k)
+        if label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {label}")
+        expanded = dataset.expanded()
+        if label == 1:
+            self._winning, self._losing = expanded.positives, expanded.negatives
+        else:
+            self._winning, self._losing = expanded.negatives, expanded.positives
+        # Class-1 pieces are closed; class-0 pieces are open (strict),
+        # reflecting the optimistic tie-breaking.
+        self._strict = label == 0
+        self.dimension = dataset.dimension
+        need = (k + 1) // 2
+        n_win, n_lose = self._winning.shape[0], self._losing.shape[0]
+        # Fewer winning points than a majority needs: the region is empty.
+        self._winner_sets = np.array(
+            list(combinations(range(n_win), need)), dtype=np.intp
+        ).reshape(-1, need)
+        self._rests = []
+        for b_size in range(min((k - 1) // 2, n_lose) + 1):
+            for B_idx in combinations(range(n_lose), b_size):
+                keep = np.ones(n_lose, dtype=bool)
+                keep[list(B_idx)] = False
+                self._rests.append(np.flatnonzero(keep))
+        self._offsets = np.empty((n_win, n_lose))
+        for i, a in enumerate(self._winning):
+            normals, sums = self._losing - a, self._losing + a
+            # A stack of 1 x n by n x 1 products is one np.dot per pair.
+            self._offsets[i] = 0.5 * np.matmul(normals[:, None, :], sums[:, :, None]).ravel()
+
+    def __len__(self) -> int:
+        return self._winner_sets.shape[0] * len(self._rests)
+
+    def __getitem__(self, index: int) -> Polyhedron:
+        if not 0 <= index < len(self):
+            raise IndexError(f"piece {index} out of range for {len(self)} pieces")
+        winners, rest_pos = divmod(index, len(self._rests))
+        A_idx, rest = self._winner_sets[winners], self._rests[rest_pos]
+        normals = self._losing[rest][None, :, :] - self._winning[A_idx][:, None, :]
+        rows = normals.reshape(-1, self.dimension)
+        offsets = self._offsets[np.ix_(A_idx, rest)].ravel()
+        if self._strict:
+            return Polyhedron.from_arrays(self.dimension, A_strict=rows, b_strict=offsets)
+        return Polyhedron.from_arrays(self.dimension, rows, offsets)
+
+    def __iter__(self) -> Iterator[Polyhedron]:
+        return (self[i] for i in range(len(self)))
+
+    def distance_lower_bounds(self, x: np.ndarray, *, tol: float = 1e-6) -> np.ndarray:
+        """Per piece, the largest signed distance from *x* to one of its hyperplanes.
+
+        No point of a piece is closer to *x* than this (clamped at 0):
+        each row ``w . y <= b`` alone already keeps ``y`` at distance
+        ``(w . x - b) / ||w||`` from *x*.  Rows with ``||w|| < tol`` (a
+        point duplicated, or nearly, across the classes) are skipped;
+        the projection QP drops the exactly degenerate ones, and skipping
+        more rows only weakens the bound.  A piece without rows bounds
+        at -inf.
+        """
+        x = np.asarray(x, dtype=np.float64).ravel()
+        margins = np.full(self._offsets.shape, -np.inf)
+        for i, a in enumerate(self._winning):
+            normals = self._losing - a
+            norms = np.linalg.norm(normals, axis=1)
+            live = norms >= tol
+            margins[i, live] = (normals[live] @ x - self._offsets[i, live]) / norms[live]
+        per_rest = np.stack(
+            [margins[:, rest].max(axis=1, initial=-np.inf) for rest in self._rests],
+            axis=1,
+        )
+        return per_rest[self._winner_sets].max(axis=1).ravel()
 
 
 def decision_region_polyhedra(
@@ -33,39 +122,10 @@ def decision_region_polyhedra(
 
     For ``label == 1`` the pieces are closed; for ``label == 0`` they are
     open (strict constraints), reflecting the optimistic tie-breaking.
-    Multiplicities are expanded first.
+    Multiplicities are expanded first.  See :class:`RegionPieces` for
+    indexed access.
     """
-    check_odd_k(k)
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    expanded = dataset.expanded()
-    if label == 1:
-        winning, losing = expanded.positives, expanded.negatives
-        strict = False
-    else:
-        winning, losing = expanded.negatives, expanded.positives
-        strict = True
-    need = (k + 1) // 2
-    slack = (k - 1) // 2
-    n = dataset.dimension
-    n_win = winning.shape[0]
-    n_lose = losing.shape[0]
-    if n_win < need:
-        # The winning class can never reach a majority: empty region.
-        return
-    for A_idx in combinations(range(n_win), need):
-        A_pts = winning[list(A_idx)]
-        for b_size in range(min(slack, n_lose) + 1):
-            for B_idx in combinations(range(n_lose), b_size):
-                keep = np.ones(n_lose, dtype=bool)
-                keep[list(B_idx)] = False
-                rest = losing[keep]
-                halfspaces = [
-                    bisector_halfspace(a, c, strict=strict)
-                    for a in A_pts
-                    for c in rest
-                ]
-                yield Polyhedron(n, halfspaces)
+    yield from RegionPieces(dataset, k, label)
 
 
 def count_region_polyhedra(dataset: Dataset, k: int, label: int) -> int:

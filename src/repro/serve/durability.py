@@ -19,14 +19,18 @@ it creates, and the SHA-256 content hash of the *folded* dataset after
 the batch.  Each line embeds a checksum over its own canonical JSON, is
 flushed and ``fsync``'d before the in-memory version bump — a mutation
 is acknowledged only after it is durable — and the fsync latency feeds
-the ``repro_wal_fsync_seconds`` metric.
+the ``repro_wal_fsync_seconds`` metric.  When the register record
+creates the WAL file, the lineage and state directories are fsync'd as
+well, so the new entries survive power loss and not only a crash.
 
 **Snapshots** are atomic (unique temp file + ``os.replace``) pickles of
 the dataset at one version, written every ``snapshot_every`` mutations,
 optionally with the lineage's warm engines riding along (pickled per
 metric) so a restart boots warm.  After a snapshot lands, the WAL is
 **compacted**: records the snapshot covers are dropped (atomically, by
-rewrite) and snapshots older than ``keep_snapshots`` are deleted.
+rewrite) and snapshots older than ``keep_snapshots`` are deleted.  Each
+``os.replace`` is followed by an fsync of the lineage directory, so the
+renamed entry is durable before the next step relies on it.
 
 **Restore** (:meth:`DurableStore.restore` / ``restore_all``) replays the
 newest loadable snapshot plus the WAL tail.  The recovery contract:
@@ -73,6 +77,21 @@ SNAPSHOT_PATTERN = "snapshot-v{version}.pkl"
 
 #: record kinds a WAL may legally contain.
 RECORD_OPS = ("register", "add", "remove")
+
+
+def _fsync_directory(path: Path) -> None:
+    """fsync a directory, making the entries created or renamed in it durable.
+
+    A file's own fsync does not persist its directory entry: after power
+    loss a freshly created file, or an ``os.replace`` onto an old name,
+    can vanish unless the parent directory is synced too (Pillai et al.,
+    OSDI'14).
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _record_checksum(record: dict) -> str:
@@ -303,11 +322,18 @@ class DurableStore:
         lineage = self._lineage(base)
         start = perf_counter()
         try:
+            # Only the first append of a process can create the WAL file.
+            created = lineage.handle is None and not lineage.wal_path.exists()
             handle = lineage.open()
             handle.write(line.encode("utf-8"))
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
+                if created:
+                    # The new file's entry, and the lineage directory's own
+                    # entry in the state directory.
+                    _fsync_directory(lineage.directory)
+                    _fsync_directory(self.root)
         except OSError as exc:
             raise DurabilityError(
                 f"WAL append failed for lineage {base[:16]}...: {exc}"
@@ -348,6 +374,8 @@ class DurableStore:
                 if self.fsync:
                     os.fsync(handle.fileno())
             os.replace(tmp, path)
+            if self.fsync:
+                _fsync_directory(lineage.directory)
         except OSError as exc:
             tmp.unlink(missing_ok=True)
             raise DurabilityError(
@@ -390,6 +418,8 @@ class DurableStore:
             if self.fsync:
                 os.fsync(handle.fileno())
         os.replace(tmp, lineage.wal_path)
+        if self.fsync:
+            _fsync_directory(lineage.directory)
         for path in sorted(
             lineage.directory.glob("snapshot-v*.pkl"),
             key=self._snapshot_version,

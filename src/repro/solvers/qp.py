@@ -30,6 +30,10 @@ from .lp import solve_lp
 
 _TOL = 1e-9
 
+#: Largest constraint violation (in unit-normal rows) a returned
+#: projection may carry; every result is checked against it.
+FEASIBILITY_TOL = 1e-6
+
 
 def _restricted_projection(x: np.ndarray, A_w: np.ndarray, b_w: np.ndarray) -> np.ndarray:
     """Projection of x onto the affine set ``A_w y = b_w`` (least-norm step)."""
@@ -143,7 +147,7 @@ def project_onto_polyhedron(
             f"active-set projection did not converge in {max_iter} iterations"
         )
 
-    _verify_kkt(x, y, A, b, tol=1e-6)
+    _verify_kkt(x, y, A, b, tol=FEASIBILITY_TOL)
     return y, float(np.dot(x - y, x - y))
 
 

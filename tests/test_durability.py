@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +114,73 @@ def test_remove_batches_replay_too(rng, data, tmp_path):
     restored = store.restore(base)
     assert restored.version == 1
     assert dataset_fingerprint(restored.dataset) == dataset_fingerprint(folded)
+
+
+def _record_fsyncs(monkeypatch):
+    """Spy on ``os.fsync``: a list of ``"file"`` or the synced directory path."""
+    synced, opened = [], {}
+    real_open, real_fsync = os.open, os.fsync
+
+    def spy_open(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        opened[fd] = Path(path)
+        return fd
+
+    def spy_fsync(fd):
+        # Directories can only be opened through os.open, so a directory
+        # fd always maps to the latest os.open that returned it.
+        is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+        synced.append(opened[fd] if is_dir else "file")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "open", spy_open)
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    return synced
+
+
+def test_directory_fsync_follows_wal_creation_and_each_replace(
+    monkeypatch, rng, data, tmp_path
+):
+    """Directory entries are synced where power loss could lose them.
+
+    Creating the WAL fsyncs its lineage directory and the state
+    directory; each snapshot and compaction ``os.replace`` fsyncs the
+    lineage directory; a plain append fsyncs only the WAL file.
+    """
+    root = tmp_path / "state"
+    store = DurableStore(root, snapshot_every=0)
+    base = dataset_fingerprint(data)
+    lineage = root / base
+    synced = _record_fsyncs(monkeypatch)
+
+    store.register(base, data)
+    assert synced == ["file", lineage, root]
+
+    synced.clear()
+    (points, labels), = _batches(rng, 1)
+    folded = data.with_added(points, labels, None)
+    store.append_mutation(base, 1, "add", folded, points, labels, None)
+    assert synced == ["file"]
+
+    synced.clear()
+    store.snapshot(base, folded, 1)
+    # snapshot temp file, its rename; compacted WAL temp file, its rename
+    assert synced == ["file", lineage, "file", lineage]
+
+    synced.clear()
+    (points, labels), = _batches(rng, 1)
+    folded = folded.with_added(points, labels, None)
+    store.append_mutation(base, 2, "add", folded, points, labels, None)
+    assert synced == ["file"]  # the compacted WAL is reopened, not created
+
+
+def test_fsync_disabled_store_syncs_nothing(monkeypatch, rng, data, tmp_path):
+    store = DurableStore(tmp_path, snapshot_every=0, fsync=False)
+    base = dataset_fingerprint(data)
+    synced = _record_fsyncs(monkeypatch)
+    store.register(base, data)
+    store.snapshot(base, data, 0)
+    assert synced == []
 
 
 def test_snapshot_compacts_wal_and_prunes_old_snapshots(rng, data, tmp_path):
