@@ -6,8 +6,9 @@ paper, our active-set QP here).  Scaled grid: sides {8, 12, 16}, N in
 {50, 100, 150}.  For k = 1 there is one Proposition-1 piece per
 opposite-class point, but the bound-ordered sweep projects only the few
 whose halfspace lower bound can beat the best candidate; what grows with
-N is building the bisector table and the bounds (quadratic in N, cheap
-vectorized work), so the QP count stays nearly flat.  The paper's
+N is computing the bounds (one bisector row per pair of opposite-class
+points, quadratic in N, cheap vectorized work), so the QP count stays
+nearly flat.  The paper's
 Figure 6b, where this task is the cheaper of the two panels, grows
 roughly linearly because it solves one program per piece.
 """

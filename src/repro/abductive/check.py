@@ -140,8 +140,8 @@ def _check_l2(
         # can dispute them.  Fall back to the boundary point when the
         # piece has an empty interior within the subspace.
         if not piece.has_strict:
-            interior = Polyhedron.from_arrays(
-                piece.dimension, A_strict=piece.A, b_strict=piece.b
+            interior = Polyhedron.from_systems(
+                A_strict=piece.A, b_strict=piece.b, dimension=piece.dimension
             ).find_point(*eq)
             if interior is not None:
                 return CheckResult(False, counterexample=interior)

@@ -27,8 +27,11 @@ mathematically, but a projection landing *exactly on* the boundary can
 fall on the wrong side in floating point.  Every candidate is therefore
 verified against the classifier and nudged toward a strict interior
 point when needed; candidates that cannot be certified are discarded in
-favor of the next-closest piece.  The strict-interior LP runs only for
-candidates that reach this examination.
+favor of the next-closest piece.  Open pieces run their emptiness LP
+just before their projection; closed pieces run the strict-interior LP
+only when a candidate of theirs needs the nudge.  Every QP and LP the
+sweep runs is one the exhaustive sweep runs on the same piece, so a
+solver error it raises is one the exhaustive sweep raises too.
 """
 
 from __future__ import annotations
@@ -59,8 +62,9 @@ def closest_counterfactual_l2(
 ) -> CounterfactualResult:
     """Closest l2 counterfactual via bound-ordered per-piece convex QP.
 
-    ``time_limit`` caps the piece sweep in wall-clock seconds
-    (checked before every QP and LP, so it is best-effort).
+    ``time_limit`` caps the piece sweep in wall-clock seconds (checked
+    before every QP and LP and while the piece bounds are computed, so
+    it is best-effort).
     """
     knn = as_engine(dataset, "l2", query_engine)
     label = knn.classify(x, k)
@@ -72,14 +76,14 @@ def closest_counterfactual_l2(
     # FEASIBILITY_TOL (plus rounding on the scale of x), so the bound
     # backs off by that much to stay below the sq it returns.
     slack = FEASIBILITY_TOL * (1.0 + float(np.linalg.norm(xv)))
-    bounds = np.maximum(pieces.distance_lower_bounds(xv) - slack, 0.0) ** 2
+    bounds = np.maximum(pieces.distance_lower_bounds(xv, deadline) - slack, 0.0) ** 2
     order = np.argsort(bounds, kind="stable")
-    candidates: list[tuple[float, int, np.ndarray]] = []  # heap on (sq, index)
-    for index in [*order.tolist(), None]:
-        next_bound = np.inf if index is None else bounds[index]
+    candidates: list[tuple] = []  # heap on (sq, index); indices are unique
+    for rank in range(order.shape[0] + 1):
+        next_bound = bounds[order[rank]] if rank < order.shape[0] else np.inf
         while candidates and candidates[0][0] < next_bound:
-            sq, popped, y = heapq.heappop(candidates)
-            result = _examine(knn, k, target, pieces[popped], y, deadline)
+            sq, _, y, closure, interior = heapq.heappop(candidates)
+            result = _certify(knn, k, target, y, closure, interior, deadline)
             if result is not None:
                 return CounterfactualResult(
                     y=result,
@@ -88,47 +92,49 @@ def closest_counterfactual_l2(
                     label_from=label,
                     method="l2-qp",
                 )
-        if index is None:
+        if rank == order.shape[0]:
             break
+        index = int(order[rank])
+        piece = pieces[index]
+        closure = piece.closure()
+        # A strictly interior point doubles as the non-emptiness witness
+        # for open pieces and as the nudge anchor for all pieces.
+        interior = None
+        if piece.has_strict:
+            interior = _strict_interior(closure, deadline)
+            if interior is None:
+                continue  # the open piece is empty even if its closure is not
         remaining_budget(deadline, "l2 counterfactual piece sweep")
-        closure = pieces[index].closure()
         try:
             y, sq = project_onto_polyhedron(x, closure.A, closure.b)
         except InfeasibleError:
             continue
-        heapq.heappush(candidates, (float(sq), index, y))
+        heapq.heappush(candidates, (float(sq), index, y, closure, interior))
     return CounterfactualResult(
         y=None, distance=np.inf, infimum=np.inf, label_from=label, method="l2-qp"
     )
 
 
-def _examine(knn, k, target, piece, y, deadline) -> np.ndarray | None:
-    """The counterfactual certified from projection *y* of *piece*, or None.
+def _certify(knn, k, target, y, closure, interior, deadline) -> np.ndarray | None:
+    """The counterfactual certified from projection *y* onto *closure*, or None.
 
-    A strictly interior point doubles as the non-emptiness witness for
-    open pieces (checked before anything else: an empty open piece is no
-    candidate at all) and as the nudge anchor for every piece.
+    Closed pieces compute their nudge anchor only here, when the
+    classifier disputes the projection itself.
     """
-    interior = None
-    if piece.has_strict:
-        interior = _strict_interior(piece, deadline)
-        if interior is None:
-            return None  # the open piece is empty even if its closure is not
     if knn.classify(y, k) == target:
         return y
     if interior is None:
-        interior = _strict_interior(piece, deadline)
+        interior = _strict_interior(closure, deadline)
         if interior is None:
             return None  # boundary-only piece that float arithmetic rejects
     return _nudge_toward_interior(knn, k, target, y, interior)
 
 
-def _strict_interior(piece, deadline) -> np.ndarray | None:
-    """A point satisfying every constraint of *piece*'s closure strictly."""
+def _strict_interior(closure, deadline) -> np.ndarray | None:
+    """A point satisfying every constraint of *closure* strictly."""
     remaining_budget(deadline, "l2 counterfactual piece sweep")
-    closure = piece.closure()
     return feasible_point_strict(
-        A_strict=closure.A, b_strict=closure.b, n=piece.dimension
+        A_strict=closure.A, b_strict=closure.b, n=closure.dimension
     )
 
 

@@ -46,30 +46,25 @@ class Polyhedron:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_arrays(
-        cls, dimension: int, A=None, b=None, A_strict=None, b_strict=None
-    ) -> "Polyhedron":
-        """Build from row arrays without per-row :class:`Halfspace` objects.
-
-        The systems are copied into C-ordered float64 arrays, exactly the
-        arrays the halfspace constructor would assemble from the same
-        rows in the same order.
-        """
-        poly = cls.__new__(cls)
-        poly.dimension = int(dimension)
-        poly.A, poly.b = _system(A, b, poly.dimension)
-        poly.A_strict, poly.b_strict = _system(A_strict, b_strict, poly.dimension)
-        return poly
-
-    @classmethod
     def from_systems(cls, A=None, b=None, A_strict=None, b_strict=None, *, dimension=None):
-        """Build from the systems ``A x <= b`` and ``A_strict x < b_strict``."""
+        """Build from the systems ``A x <= b`` and ``A_strict x < b_strict``.
+
+        The rows are copied into C-ordered float64 arrays, exactly the
+        arrays the halfspace constructor would assemble from the same
+        rows in the same order, without per-row :class:`Halfspace`
+        objects.  The dimension is read from the rows; *dimension* is
+        needed when both systems are empty.
+        """
         for rows in (A, A_strict):
             if rows is not None and len(rows):
                 dimension = np.shape(rows)[1]
         if dimension is None:
             raise ValueError("dimension required for an unconstrained polyhedron")
-        return cls.from_arrays(dimension, A, b, A_strict, b_strict)
+        poly = cls.__new__(cls)
+        poly.dimension = int(dimension)
+        poly.A, poly.b = _system(A, b, poly.dimension)
+        poly.A_strict, poly.b_strict = _system(A_strict, b_strict, poly.dimension)
+        return poly
 
     # -- structure -------------------------------------------------------
 
@@ -85,10 +80,10 @@ class Polyhedron:
 
     def closure(self) -> "Polyhedron":
         """The closed polyhedron obtained by weakening strict constraints."""
-        return Polyhedron.from_arrays(
-            self.dimension,
+        return Polyhedron.from_systems(
             np.vstack([self.A, self.A_strict]),
             np.concatenate([self.b, self.b_strict]),
+            dimension=self.dimension,
         )
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":

@@ -16,13 +16,26 @@ the enumeration driving Proposition 3 and Theorem 2.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import Iterator
 
 import numpy as np
 
+from .._budget import remaining_budget
 from .._validation import check_odd_k
 from ..knn.dataset import Dataset
 from .polyhedron import Polyhedron
+
+
+#: Bisector rows shorter than this (a point held, or nearly, by both
+#: classes) are left out of the distance lower bounds.  The projection
+#: QP drops the exactly degenerate rows itself, and leaving out more
+#: rows only weakens a bound.
+_DEGENERATE_ROW_NORM = 1e-6
+
+#: Float entries a block of the bound computation may hold, which sets
+#: how many winning points it covers between two budget checks.
+_BOUND_BLOCK_ENTRIES = 1 << 16
 
 
 class RegionPieces:
@@ -31,14 +44,18 @@ class RegionPieces:
     Piece ``i`` is the ``i``-th polyhedron of the enumeration order of
     :func:`decision_region_polyhedra`: witness sets ``A`` of the winning
     class in lexicographic order, and for each of them the excluded sets
-    ``B`` of the losing class by size, then lexicographically.  Every
-    piece selects rows from one table of bisector halfspaces, one per
-    (winning point ``a``, losing point ``c``) pair: the normal ``c - a``
-    is the subtraction :func:`~repro.geometry.halfspace.bisector_halfspace`
-    performs, and the offset ``1/2 (c - a)^T (c + a)`` is computed once
-    per pair by the same float64 dot product, so a piece is bit-identical
+    ``B`` of the losing class by size, then lexicographically.  A piece
+    has one bisector row per (``a`` in ``A``, ``c`` outside ``B``) pair:
+    the normal ``c - a`` is the subtraction
+    :func:`~repro.geometry.halfspace.bisector_halfspace` performs, and
+    the offset ``1/2 (c - a)^T (c + a)`` is the same float64 dot product,
+    taken for all of ``a``'s pairs at once, so a piece is bit-identical
     to its halfspace-by-halfspace construction.  Multiplicities are
     expanded first.
+
+    Nothing is built up front: iteration generates the pieces lazily,
+    indexing builds one piece, and :meth:`distance_lower_bounds` streams
+    over the winning points.
     """
 
     def __init__(self, dataset: Dataset, k: int, label: int):
@@ -54,65 +71,136 @@ class RegionPieces:
         # reflecting the optimistic tie-breaking.
         self._strict = label == 0
         self.dimension = dataset.dimension
-        need = (k + 1) // 2
-        n_win, n_lose = self._winning.shape[0], self._losing.shape[0]
-        # Fewer winning points than a majority needs: the region is empty.
-        self._winner_sets = np.array(
-            list(combinations(range(n_win), need)), dtype=np.intp
-        ).reshape(-1, need)
-        self._rests = []
-        for b_size in range(min((k - 1) // 2, n_lose) + 1):
-            for B_idx in combinations(range(n_lose), b_size):
-                keep = np.ones(n_lose, dtype=bool)
-                keep[list(B_idx)] = False
-                self._rests.append(np.flatnonzero(keep))
-        self._offsets = np.empty((n_win, n_lose))
-        for i, a in enumerate(self._winning):
-            normals, sums = self._losing - a, self._losing + a
-            # A stack of 1 x n by n x 1 products is one np.dot per pair.
-            self._offsets[i] = 0.5 * np.matmul(normals[:, None, :], sums[:, :, None]).ravel()
+        self._need = (k + 1) // 2
+        self._max_excluded = min((k - 1) // 2, self._losing.shape[0])
 
     def __len__(self) -> int:
-        return self._winner_sets.shape[0] * len(self._rests)
+        return comb(self._winning.shape[0], self._need) * self._n_excluded_sets()
+
+    def __iter__(self) -> Iterator[Polyhedron]:
+        for A_idx in combinations(range(self._winning.shape[0]), self._need):
+            offsets = self._offsets(A_idx)
+            for B_idx in self._excluded_sets():
+                yield self._piece(A_idx, B_idx, offsets)
 
     def __getitem__(self, index: int) -> Polyhedron:
         if not 0 <= index < len(self):
             raise IndexError(f"piece {index} out of range for {len(self)} pieces")
-        winners, rest_pos = divmod(index, len(self._rests))
-        A_idx, rest = self._winner_sets[winners], self._rests[rest_pos]
-        normals = self._losing[rest][None, :, :] - self._winning[A_idx][:, None, :]
-        rows = normals.reshape(-1, self.dimension)
-        offsets = self._offsets[np.ix_(A_idx, rest)].ravel()
-        if self._strict:
-            return Polyhedron.from_arrays(self.dimension, A_strict=rows, b_strict=offsets)
-        return Polyhedron.from_arrays(self.dimension, rows, offsets)
+        winners, rank = divmod(index, self._n_excluded_sets())
+        A_idx = _unrank_combination(winners, self._winning.shape[0], self._need)
+        n_lose = self._losing.shape[0]
+        for size in range(self._max_excluded + 1):
+            if rank < comb(n_lose, size):
+                B_idx = _unrank_combination(rank, n_lose, size)
+                break
+            rank -= comb(n_lose, size)
+        return self._piece(A_idx, B_idx, self._offsets(A_idx))
 
-    def __iter__(self) -> Iterator[Polyhedron]:
-        return (self[i] for i in range(len(self)))
-
-    def distance_lower_bounds(self, x: np.ndarray, *, tol: float = 1e-6) -> np.ndarray:
-        """Per piece, the largest signed distance from *x* to one of its hyperplanes.
+    def distance_lower_bounds(self, x: np.ndarray, deadline: float | None = None) -> np.ndarray:
+        """Per piece, in index order, the largest signed distance from *x* to a hyperplane.
 
         No point of a piece is closer to *x* than this (clamped at 0):
         each row ``w . y <= b`` alone already keeps ``y`` at distance
-        ``(w . x - b) / ||w||`` from *x*.  Rows with ``||w|| < tol`` (a
-        point duplicated, or nearly, across the classes) are skipped;
-        the projection QP drops the exactly degenerate ones, and skipping
-        more rows only weakens the bound.  A piece without rows bounds
-        at -inf.
+        ``(w . x - b) / ||w||`` from *x*.  Degenerate rows are skipped
+        (see ``_DEGENERATE_ROW_NORM``); a piece without rows bounds at
+        -inf.  The work streams over blocks of winning points, holding
+        about ``_BOUND_BLOCK_ENTRIES`` floats at a time, and checks
+        *deadline* (with :func:`~repro._budget.remaining_budget`) before
+        each block, so a budget or a race cancellation interrupts it;
+        the result holds one float per piece.
         """
+        what = "decision-region piece bounds"
         x = np.asarray(x, dtype=np.float64).ravel()
-        margins = np.full(self._offsets.shape, -np.inf)
-        for i, a in enumerate(self._winning):
-            normals = self._losing - a
-            norms = np.linalg.norm(normals, axis=1)
-            live = norms >= tol
-            margins[i, live] = (normals[live] @ x - self._offsets[i, live]) / norms[live]
-        per_rest = np.stack(
-            [margins[:, rest].max(axis=1, initial=-np.inf) for rest in self._rests],
-            axis=1,
-        )
-        return per_rest[self._winner_sets].max(axis=1).ravel()
+        n_win, n_lose = self._winning.shape[0], self._losing.shape[0]
+        # Excluded sets as rows of losing indices, padded with -1.
+        excluded = np.full((self._n_excluded_sets(), self._max_excluded), -1, dtype=np.intp)
+        for row, B_idx in enumerate(self._excluded_sets()):
+            excluded[row, : len(B_idx)] = B_idx
+        # per_rest[i, r]: the bound of winning point i's rows outside
+        # excluded set r, computed a block of winning points at a time.
+        per_rest = np.empty((n_win, excluded.shape[0]))
+        entries = max(n_lose * self.dimension, excluded.size * (self._max_excluded + 1), 1)
+        step = max(1, _BOUND_BLOCK_ENTRIES // entries)
+        for lo in range(0, n_win, step):
+            remaining_budget(deadline, what)
+            block = self._winning[lo : lo + step]
+            normals = self._losing[None, :, :] - block[:, None, :]
+            sums = self._losing[None, :, :] + block[:, None, :]
+            offsets = 0.5 * np.matmul(normals[..., None, :], sums[..., :, None])[..., 0, 0]
+            norms = np.linalg.norm(normals, axis=2)
+            live = norms >= _DEGENERATE_ROW_NORM
+            margins = np.full(norms.shape, -np.inf)
+            margins[live] = ((normals @ x - offsets) / np.where(live, norms, 1.0))[live]
+            per_rest[lo : lo + step] = _max_outside(margins, excluded)
+        # A piece bounds at the largest bound of its witnesses; witness
+        # sets sharing all but their last member form one block.
+        blocks = [np.empty(0)]
+        for prefix in combinations(range(n_win), self._need - 1):
+            remaining_budget(deadline, what)
+            floor = per_rest[list(prefix)].max(axis=0, initial=-np.inf)
+            last = prefix[-1] + 1 if prefix else 0
+            blocks.append(np.maximum(per_rest[last:], floor).ravel())
+        return np.concatenate(blocks)
+
+    def _n_excluded_sets(self) -> int:
+        n_lose = self._losing.shape[0]
+        return sum(comb(n_lose, size) for size in range(self._max_excluded + 1))
+
+    def _excluded_sets(self) -> Iterator[tuple[int, ...]]:
+        for size in range(self._max_excluded + 1):
+            yield from combinations(range(self._losing.shape[0]), size)
+
+    def _offsets(self, A_idx: tuple[int, ...]) -> np.ndarray:
+        """Bisector offsets of the witnesses *A_idx* against every losing point."""
+        return np.stack([_bisector_offsets(self._winning[i], self._losing) for i in A_idx])
+
+    def _piece(self, A_idx, B_idx, offsets: np.ndarray) -> Polyhedron:
+        keep = np.ones(self._losing.shape[0], dtype=bool)
+        keep[list(B_idx)] = False
+        normals = self._losing[keep][None, :, :] - self._winning[list(A_idx)][:, None, :]
+        rows = normals.reshape(-1, self.dimension)
+        b = offsets[:, keep].ravel()
+        if self._strict:
+            return Polyhedron.from_systems(A_strict=rows, b_strict=b, dimension=self.dimension)
+        return Polyhedron.from_systems(rows, b, dimension=self.dimension)
+
+
+def _bisector_offsets(a: np.ndarray, losing: np.ndarray) -> np.ndarray:
+    """``1/2 (c - a)^T (c + a)`` for every row ``c`` of *losing*."""
+    normals, sums = losing - a, losing + a
+    # A stack of 1 x n by n x 1 products is one np.dot per pair.
+    return 0.5 * np.matmul(normals[:, None, :], sums[:, :, None]).ravel()
+
+
+def _max_outside(values: np.ndarray, excluded: np.ndarray) -> np.ndarray:
+    """``out[i, r]``: the max of ``values[i]`` outside the index set ``excluded[r]``.
+
+    The sets are rows of indices padded with -1.  A set of ``m`` indices
+    leaves at least one of the ``m + 1`` largest values of a row, so only
+    those are compared; -inf when nothing is left.
+    """
+    rows, n = values.shape
+    top = np.argpartition(-values, np.arange(min(excluded.shape[1] + 1, n)), axis=1)
+    top = top[:, : excluded.shape[1] + 1]
+    inside = (excluded[None, :, :, None] == top[:, None, None, :]).any(axis=2)
+    sentinel = np.ones(inside.shape[:2] + (1,), dtype=bool)
+    first = np.concatenate([~inside, sentinel], axis=2).argmax(axis=2)
+    candidates = np.hstack([np.take_along_axis(values, top, axis=1), np.full((rows, 1), -np.inf)])
+    return np.take_along_axis(candidates, first, axis=1)
+
+
+def _unrank_combination(rank: int, n: int, size: int) -> tuple[int, ...]:
+    """The *rank*-th ``size``-subset of ``range(n)`` in ``itertools.combinations`` order."""
+    chosen, start = [], 0
+    for slot in range(size):
+        for value in range(start, n):
+            below = comb(n - value - 1, size - slot - 1)
+            if rank < below:
+                chosen.append(value)
+                start = value + 1
+                break
+            rank -= below
+    return tuple(chosen)
 
 
 def decision_region_polyhedra(
@@ -130,18 +218,4 @@ def decision_region_polyhedra(
 
 def count_region_polyhedra(dataset: Dataset, k: int, label: int) -> int:
     """Number of pieces :func:`decision_region_polyhedra` will yield."""
-    from math import comb
-
-    check_odd_k(k)
-    expanded = dataset.expanded()
-    if label == 1:
-        n_win, n_lose = expanded.positives.shape[0], expanded.negatives.shape[0]
-    else:
-        n_win, n_lose = expanded.negatives.shape[0], expanded.positives.shape[0]
-    need = (k + 1) // 2
-    slack = (k - 1) // 2
-    if n_win < need:
-        return 0
-    return comb(n_win, need) * sum(
-        comb(n_lose, b) for b in range(min(slack, n_lose) + 1)
-    )
+    return len(RegionPieces(dataset, k, label))

@@ -29,11 +29,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import repro._budget as budget_module
 import repro.counterfactual.l2 as l2_module
+import repro.geometry.regions as regions_module
 from repro._budget import install_cancel_event
 from repro.counterfactual import CounterfactualResult
 from repro.counterfactual.l2 import _nudge_toward_interior, closest_counterfactual_l2
-from repro.exceptions import InfeasibleError, ResourceLimitError
+from repro.exceptions import InfeasibleError, ResourceLimitError, SolverError
 from repro.geometry import Halfspace, Polyhedron, bisector_halfspace
 from repro.geometry.regions import (
     RegionPieces,
@@ -205,12 +207,12 @@ def test_k3_matches_exhaustive_sweep(seed):
         assert_identical(closest_counterfactual_l2(data, 3, x), reference_closest(data, 3, x))
 
 
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [1, 3, 5])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_multiplicities_and_duplicates_match_exhaustive_sweep(seed, k):
     data = small_with_repeats(seed)
     rng = np.random.default_rng(seed)
-    xs = list(queries(data, k, rng, 4 if k == 1 else 2))
+    xs = list(queries(data, k, rng, 2 if k == 3 else 4))
     xs.append(data.positives[0].copy())  # on a repeated training point
     xs.append(data.positives[1].copy())  # on the point both classes hold
     for x in xs:
@@ -308,6 +310,16 @@ def test_cancelled_race_attempt_raises():
         install_cancel_event(None)
 
 
+def logged(calls: list, fn):
+    """*fn* (or a stub returning None) that appends each call to *calls*."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return None if fn is None else fn(*args, **kwargs)
+
+    return wrapper
+
+
 def test_every_qp_and_lp_is_preceded_by_a_budget_check(monkeypatch):
     events = []
 
@@ -332,13 +344,93 @@ def test_every_qp_and_lp_is_preceded_by_a_budget_check(monkeypatch):
     assert all(events[i - 1] == "budget" for i in solves)
 
 
+class TickingClock:
+    """A ``time`` stand-in whose clock advances one second per reading."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 1.0
+        return self.now
+
+
+def test_budget_expiring_while_bounds_are_built_raises_before_any_solve(monkeypatch):
+    checks, solves = [], []
+    monkeypatch.setattr(budget_module, "time", TickingClock())
+    # One winning point per block, so each of the 40 gets its own check.
+    monkeypatch.setattr(regions_module, "_BOUND_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(
+        regions_module, "remaining_budget", logged(checks, regions_module.remaining_budget)
+    )
+    monkeypatch.setattr(l2_module, "project_onto_polyhedron", logged(solves, None))
+    monkeypatch.setattr(l2_module, "feasible_point_strict", logged(solves, None))
+    with pytest.raises(ResourceLimitError, match="exceeded its time budget"):
+        closest_counterfactual_l2(gaussian_lineage(0), 1, np.zeros(8), time_limit=5.5)
+    # The deadline passes after a few of the 40 winning points.
+    assert 0 < len(checks) < 10
+    assert solves == []
+
+
+def test_empty_open_pieces_are_never_projected(monkeypatch):
+    """An open piece whose emptiness LP fails is skipped before its QP.
+
+    The fake QP raises on such a piece's closure, as the KKT check may
+    on a lower-dimensional closure, so the answer only survives if the
+    sweep never projects it, as the exhaustive sweep never did.
+    """
+    data = small_with_repeats(0)
+    empty = set()
+    for piece in decision_region_polyhedra(data, 1, 0):
+        closure = piece.closure()
+        if feasible_point_strict(A_strict=closure.A, b_strict=closure.b, n=3) is None:
+            empty.add(closure.A.tobytes())
+    # The point both classes hold makes the 0 < 0 row.
+    assert empty
+    skipped = []
+
+    def recording_lp(*args, **kwargs):
+        point = feasible_point_strict(*args, **kwargs)
+        if point is None:
+            skipped.append(kwargs["A_strict"].tobytes())
+        return point
+
+    def strict_qp(x, A, b):
+        if A.tobytes() in empty:
+            raise SolverError("projection onto an empty open piece")
+        return project_onto_polyhedron(x, A, b)
+
+    xs = [data.positives[1].copy(), *queries(data, 1, np.random.default_rng(0), 4)]
+    want = [reference_closest(data, 1, x) for x in xs]
+    monkeypatch.setattr(l2_module, "feasible_point_strict", recording_lp)
+    monkeypatch.setattr(l2_module, "project_onto_polyhedron", strict_qp)
+    for x, reference in zip(xs, want):
+        assert_identical(closest_counterfactual_l2(data, 1, x), reference)
+    # The sweep met an empty open piece on the way and left it out.
+    assert set(skipped) & empty
+
+
+def test_pieces_are_generated_lazily(monkeypatch):
+    rows = []
+    offsets = regions_module._bisector_offsets
+    monkeypatch.setattr(regions_module, "_bisector_offsets", logged(rows, offsets))
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.normal(size=(30, 4)), rng.normal(size=(300, 4)))
+    assert count_region_polyhedra(data, 5, 1) > 10**8
+    first = next(iter(decision_region_polyhedra(data, 5, 1)))
+    assert first.A.shape == (3 * 300, 4)
+    assert len(rows) == 3  # one offset row per witness of the first piece
+    pieces = RegionPieces(data, 5, 1)
+    assert pieces[len(pieces) - 1].A.shape == (3 * 298, 4)
+
+
 # ---------------------------------------------------------------------------
 # Table-built pieces == halfspace-built pieces
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("label", [0, 1])
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [1, 3, 5])
 @pytest.mark.parametrize("make", [small_with_repeats, lambda s: gaussian_lineage(s, 6, 5)])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_table_pieces_equal_halfspace_pieces(seed, make, k, label):
@@ -353,7 +445,7 @@ def test_table_pieces_equal_halfspace_pieces(seed, make, k, label):
         assert_same_polyhedron(piece.closure(), reference.closure())
         # The Check-SR interior system, array-built vs halfspace-built.
         assert_same_polyhedron(
-            Polyhedron.from_arrays(piece.dimension, A_strict=piece.A, b_strict=piece.b),
+            Polyhedron.from_systems(A_strict=piece.A, b_strict=piece.b, dimension=piece.dimension),
             Polyhedron(
                 reference.dimension,
                 [Halfspace(w, b, strict=True) for w, b in zip(reference.A, reference.b)],
@@ -374,7 +466,7 @@ def test_region_with_too_few_winners_is_empty():
 def test_lower_bounds_never_exceed_projection_distance(seed):
     data = small_with_repeats(seed)
     rng = np.random.default_rng(seed)
-    for k, label in ((1, 0), (1, 1), (3, 0), (3, 1)):
+    for k, label in ((1, 0), (1, 1), (3, 0), (3, 1), (5, 0), (5, 1)):
         pieces = RegionPieces(data, k, label)
         for x in rng.normal(size=(2, data.dimension)) * 2:
             bounds = pieces.distance_lower_bounds(x)
@@ -387,7 +479,7 @@ def test_lower_bounds_never_exceed_projection_distance(seed):
                 assert max(bound, 0.0) <= np.sqrt(sq) + 1e-9
 
 
-def test_array_constructors_match_halfspace_constructor():
+def test_from_systems_matches_halfspace_constructor():
     rng = np.random.default_rng(7)
     A, b = rng.normal(size=(4, 3)), rng.normal(size=4)
     S, s = rng.normal(size=(2, 3)), rng.normal(size=2)
@@ -395,10 +487,13 @@ def test_array_constructors_match_halfspace_constructor():
     strict = [Halfspace(w, v, strict=True) for w, v in zip(S, s)]
     mixed = Polyhedron(3, weak + strict)
     assert_same_polyhedron(Polyhedron.from_systems(A, b, S, s), mixed)
-    assert_same_polyhedron(Polyhedron.from_arrays(3, A, b, S, s), mixed)
+    assert_same_polyhedron(Polyhedron.from_systems(A, b, S, s, dimension=3), mixed)
+    assert_same_polyhedron(Polyhedron.from_systems(dimension=3), Polyhedron(3))
     closed = [Halfspace(w, v) for w, v in zip(S, s)]
     assert_same_polyhedron(mixed.closure(), Polyhedron(3, weak + closed))
     with pytest.raises(ValueError):
-        Polyhedron.from_arrays(3, A, b[:3])
+        Polyhedron.from_systems(A, b[:3])
     with pytest.raises(ValueError):
         Polyhedron.from_systems(A, b, np.ones((1, 2)), [0.0])
+    with pytest.raises(ValueError):
+        Polyhedron.from_systems()
