@@ -49,8 +49,8 @@ class RegionPieces:
     the normal ``c - a`` is the subtraction
     :func:`~repro.geometry.halfspace.bisector_halfspace` performs, and
     the offset ``1/2 (c - a)^T (c + a)`` is the same float64 dot product,
-    taken for all of ``a``'s pairs at once, so a piece is bit-identical
-    to its halfspace-by-halfspace construction.  Multiplicities are
+    taken for all of a witness set's pairs at once, so a piece is
+    bit-identical to its halfspace-by-halfspace construction.  Multiplicities are
     expanded first.
 
     Nothing is built up front: iteration generates the pieces lazily,
@@ -79,9 +79,9 @@ class RegionPieces:
 
     def __iter__(self) -> Iterator[Polyhedron]:
         for A_idx in combinations(range(self._winning.shape[0]), self._need):
-            offsets = self._offsets(A_idx)
+            bisectors = _bisectors(self._winning[list(A_idx)], self._losing)
             for B_idx in self._excluded_sets():
-                yield self._piece(A_idx, B_idx, offsets)
+                yield self._piece(bisectors, B_idx)
 
     def __getitem__(self, index: int) -> Polyhedron:
         if not 0 <= index < len(self):
@@ -94,7 +94,7 @@ class RegionPieces:
                 B_idx = _unrank_combination(rank, n_lose, size)
                 break
             rank -= comb(n_lose, size)
-        return self._piece(A_idx, B_idx, self._offsets(A_idx))
+        return self._piece(_bisectors(self._winning[list(A_idx)], self._losing), B_idx)
 
     def distance_lower_bounds(self, x: np.ndarray, deadline: float | None = None) -> np.ndarray:
         """Per piece, in index order, the largest signed distance from *x* to a hyperplane.
@@ -123,10 +123,7 @@ class RegionPieces:
         step = max(1, _BOUND_BLOCK_ENTRIES // entries)
         for lo in range(0, n_win, step):
             remaining_budget(deadline, what)
-            block = self._winning[lo : lo + step]
-            normals = self._losing[None, :, :] - block[:, None, :]
-            sums = self._losing[None, :, :] + block[:, None, :]
-            offsets = 0.5 * np.matmul(normals[..., None, :], sums[..., :, None])[..., 0, 0]
+            normals, offsets = _bisectors(self._winning[lo : lo + step], self._losing)
             norms = np.linalg.norm(normals, axis=2)
             live = norms >= _DEGENERATE_ROW_NORM
             margins = np.full(norms.shape, -np.inf)
@@ -150,26 +147,27 @@ class RegionPieces:
         for size in range(self._max_excluded + 1):
             yield from combinations(range(self._losing.shape[0]), size)
 
-    def _offsets(self, A_idx: tuple[int, ...]) -> np.ndarray:
-        """Bisector offsets of the witnesses *A_idx* against every losing point."""
-        return np.stack([_bisector_offsets(self._winning[i], self._losing) for i in A_idx])
-
-    def _piece(self, A_idx, B_idx, offsets: np.ndarray) -> Polyhedron:
+    def _piece(self, bisectors: tuple[np.ndarray, np.ndarray], B_idx) -> Polyhedron:
+        normals, offsets = bisectors
         keep = np.ones(self._losing.shape[0], dtype=bool)
         keep[list(B_idx)] = False
-        normals = self._losing[keep][None, :, :] - self._winning[list(A_idx)][:, None, :]
-        rows = normals.reshape(-1, self.dimension)
+        rows = normals[:, keep].reshape(-1, self.dimension)
         b = offsets[:, keep].ravel()
         if self._strict:
             return Polyhedron.from_systems(A_strict=rows, b_strict=b, dimension=self.dimension)
         return Polyhedron.from_systems(rows, b, dimension=self.dimension)
 
 
-def _bisector_offsets(a: np.ndarray, losing: np.ndarray) -> np.ndarray:
-    """``1/2 (c - a)^T (c + a)`` for every row ``c`` of *losing*."""
-    normals, sums = losing - a, losing + a
+def _bisectors(winners: np.ndarray, losing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normals ``c - a`` and offsets ``1/2 (c - a)^T (c + a)`` for every (winner, loser) pair.
+
+    Both come out indexed ``[winner, loser]``, by the arithmetic of
+    :func:`~repro.geometry.halfspace.bisector_halfspace`.
+    """
+    normals = losing[None, :, :] - winners[:, None, :]
+    sums = losing[None, :, :] + winners[:, None, :]
     # A stack of 1 x n by n x 1 products is one np.dot per pair.
-    return 0.5 * np.matmul(normals[:, None, :], sums[:, :, None]).ravel()
+    return normals, 0.5 * np.matmul(normals[..., None, :], sums[..., :, None])[..., 0, 0]
 
 
 def _max_outside(values: np.ndarray, excluded: np.ndarray) -> np.ndarray:

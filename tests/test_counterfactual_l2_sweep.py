@@ -411,15 +411,15 @@ def test_empty_open_pieces_are_never_projected(monkeypatch):
 
 
 def test_pieces_are_generated_lazily(monkeypatch):
-    rows = []
-    offsets = regions_module._bisector_offsets
-    monkeypatch.setattr(regions_module, "_bisector_offsets", logged(rows, offsets))
+    built = []
+    monkeypatch.setattr(regions_module, "_bisectors", logged(built, regions_module._bisectors))
     rng = np.random.default_rng(0)
     data = Dataset(rng.normal(size=(30, 4)), rng.normal(size=(300, 4)))
     assert count_region_polyhedra(data, 5, 1) > 10**8
     first = next(iter(decision_region_polyhedra(data, 5, 1)))
     assert first.A.shape == (3 * 300, 4)
-    assert len(rows) == 3  # one offset row per witness of the first piece
+    # Only the first witness set's bisectors, against every losing point.
+    assert [winners.shape for winners, _ in built] == [(3, 4)]
     pieces = RegionPieces(data, 5, 1)
     assert pieces[len(pieces) - 1].A.shape == (3 * 298, 4)
 
