@@ -107,16 +107,22 @@ def reference_closest(dataset: Dataset, k: int, x: np.ndarray) -> Counterfactual
         infimum = float(np.sqrt(sq))
         if knn.classify(y, k) == target:
             return CounterfactualResult(
-                y=y, distance=float(np.linalg.norm(y - x)), infimum=infimum,
-                label_from=label, method="l2-qp",
+                y=y,
+                distance=float(np.linalg.norm(y - x)),
+                infimum=infimum,
+                label_from=label,
+                method="l2-qp",
             )
         if interior is None:
             continue
         nudged = _nudge_toward_interior(knn, k, target, y, interior)
         if nudged is not None:
             return CounterfactualResult(
-                y=nudged, distance=float(np.linalg.norm(nudged - x)),
-                infimum=infimum, label_from=label, method="l2-qp",
+                y=nudged,
+                distance=float(np.linalg.norm(nudged - x)),
+                infimum=infimum,
+                label_from=label,
+                method="l2-qp",
             )
     return CounterfactualResult(
         y=None, distance=np.inf, infimum=np.inf, label_from=label, method="l2-qp"
@@ -142,6 +148,16 @@ def assert_same_polyhedron(got: Polyhedron, want: Polyhedron):
         assert g.dtype == w.dtype and g.shape == w.shape, name
         assert g.flags.c_contiguous, name
         assert g.tobytes() == w.tobytes(), name
+
+
+def logged(events: list, name: str, fn):
+    """*fn* (or a stub returning None) that appends *name* to *events* per call."""
+
+    def wrapper(*args, **kwargs):
+        events.append(name)
+        return None if fn is None else fn(*args, **kwargs)
+
+    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +187,9 @@ def small_with_repeats(seed: int) -> Dataset:
     pos[4] = pos[0]
     neg[4] = pos[1]
     return Dataset(
-        pos, neg, positive_multiplicities=[2, 1, 1, 1, 1],
+        pos,
+        neg,
+        positive_multiplicities=[2, 1, 1, 1, 1],
         negative_multiplicities=[1, 1, 2, 1, 1],
     )
 
@@ -180,9 +198,8 @@ def queries(dataset: Dataset, k: int, rng: np.random.Generator, count: int):
     """Query points from both sides of the boundary, so both flip directions run."""
     knn = as_engine(dataset, "l2", None)
     anchors = [dataset.positives, dataset.negatives]
-    xs = np.array([
-        anchors[i % 2][rng.integers(anchors[i % 2].shape[0])] for i in range(count)
-    ]) + 0.5 * rng.normal(size=(count, dataset.dimension))
+    picks = [anchors[i % 2][rng.integers(anchors[i % 2].shape[0])] for i in range(count)]
+    xs = np.array(picks) + 0.5 * rng.normal(size=(count, dataset.dimension))
     labels = {knn.classify(x, k) for x in xs}
     assert labels == {0, 1}, "queries must flip in both directions"
     return xs
@@ -261,19 +278,12 @@ def test_equidistant_pieces_resolve_by_enumeration_order(x, k):
 
 
 def test_sweep_projects_only_pieces_that_can_win(monkeypatch):
-    calls = {"qp": 0, "lp": 0}
-
-    def counting(name, solver):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return solver(*args, **kwargs)
-        return wrapper
-
+    events = []
     monkeypatch.setattr(
-        l2_module, "project_onto_polyhedron", counting("qp", project_onto_polyhedron)
+        l2_module, "project_onto_polyhedron", logged(events, "qp", project_onto_polyhedron)
     )
     monkeypatch.setattr(
-        l2_module, "feasible_point_strict", counting("lp", feasible_point_strict)
+        l2_module, "feasible_point_strict", logged(events, "lp", feasible_point_strict)
     )
     n_queries = 0
     for seed in range(3):
@@ -284,8 +294,8 @@ def test_sweep_projects_only_pieces_that_can_win(monkeypatch):
             assert count_region_polyhedra(data, 1, target) == 40
             assert closest_counterfactual_l2(data, 1, x).found
             n_queries += 1
-    assert calls["qp"] / n_queries <= 4
-    assert calls["lp"] / n_queries <= 4
+    assert events.count("qp") / n_queries <= 4
+    assert events.count("lp") / n_queries <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -310,31 +320,17 @@ def test_cancelled_race_attempt_raises():
         install_cancel_event(None)
 
 
-def logged(calls: list, fn):
-    """*fn* (or a stub returning None) that appends each call to *calls*."""
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return None if fn is None else fn(*args, **kwargs)
-
-    return wrapper
-
-
 def test_every_qp_and_lp_is_preceded_by_a_budget_check(monkeypatch):
     events = []
-
-    def logged(name, fn):
-        def wrapper(*args, **kwargs):
-            events.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(l2_module, "remaining_budget",
-                        logged("budget", l2_module.remaining_budget))
-    monkeypatch.setattr(l2_module, "project_onto_polyhedron",
-                        logged("qp", project_onto_polyhedron))
-    monkeypatch.setattr(l2_module, "feasible_point_strict",
-                        logged("lp", feasible_point_strict))
+    monkeypatch.setattr(
+        l2_module, "remaining_budget", logged(events, "budget", l2_module.remaining_budget)
+    )
+    monkeypatch.setattr(
+        l2_module, "project_onto_polyhedron", logged(events, "qp", project_onto_polyhedron)
+    )
+    monkeypatch.setattr(
+        l2_module, "feasible_point_strict", logged(events, "lp", feasible_point_strict)
+    )
     data = small_with_repeats(0)
     for k in (1, 3):
         for x in queries(data, k, np.random.default_rng(0), 4):
@@ -356,20 +352,19 @@ class TickingClock:
 
 
 def test_budget_expiring_while_bounds_are_built_raises_before_any_solve(monkeypatch):
-    checks, solves = [], []
+    events = []
     monkeypatch.setattr(budget_module, "time", TickingClock())
     # One winning point per block, so each of the 40 gets its own check.
     monkeypatch.setattr(regions_module, "_BOUND_BLOCK_ENTRIES", 1)
-    monkeypatch.setattr(
-        regions_module, "remaining_budget", logged(checks, regions_module.remaining_budget)
-    )
-    monkeypatch.setattr(l2_module, "project_onto_polyhedron", logged(solves, None))
-    monkeypatch.setattr(l2_module, "feasible_point_strict", logged(solves, None))
+    check = logged(events, "check", regions_module.remaining_budget)
+    monkeypatch.setattr(regions_module, "remaining_budget", check)
+    monkeypatch.setattr(l2_module, "project_onto_polyhedron", logged(events, "qp", None))
+    monkeypatch.setattr(l2_module, "feasible_point_strict", logged(events, "lp", None))
     with pytest.raises(ResourceLimitError, match="exceeded its time budget"):
         closest_counterfactual_l2(gaussian_lineage(0), 1, np.zeros(8), time_limit=5.5)
-    # The deadline passes after a few of the 40 winning points.
-    assert 0 < len(checks) < 10
-    assert solves == []
+    # The deadline passes after a few of the 40 winning points, before any solve.
+    assert 0 < len(events) < 10
+    assert set(events) == {"check"}
 
 
 def test_empty_open_pieces_are_never_projected(monkeypatch):
@@ -412,14 +407,16 @@ def test_empty_open_pieces_are_never_projected(monkeypatch):
 
 def test_pieces_are_generated_lazily(monkeypatch):
     built = []
-    monkeypatch.setattr(regions_module, "_bisectors", logged(built, regions_module._bisectors))
+    monkeypatch.setattr(
+        regions_module, "_bisectors", logged(built, "bisectors", regions_module._bisectors)
+    )
     rng = np.random.default_rng(0)
     data = Dataset(rng.normal(size=(30, 4)), rng.normal(size=(300, 4)))
     assert count_region_polyhedra(data, 5, 1) > 10**8
     first = next(iter(decision_region_polyhedra(data, 5, 1)))
     assert first.A.shape == (3 * 300, 4)
-    # Only the first witness set's bisectors, against every losing point.
-    assert [winners.shape for winners, _ in built] == [(3, 4)]
+    # Only the first witness set's bisectors were computed.
+    assert built == ["bisectors"]
     pieces = RegionPieces(data, 5, 1)
     assert pieces[len(pieces) - 1].A.shape == (3 * 298, 4)
 
